@@ -1,7 +1,8 @@
 // Engine micro-throughput: rounds/second across network shapes, adversary
-// classes, and both execution engines (scalar vs batch kernel), every piece
-// built from the scenario registries. Not a paper experiment — this keeps
-// the harness honest about the cost of the attack sweeps, and its JSON
+// classes, and both node drivers (the scalar adapter kernel vs the batch
+// kernel, each through KernelExecution), every piece built from the
+// scenario registries. Not a paper experiment — this keeps the harness
+// honest about the cost of the attack sweeps, and its JSON
 // artifact is the machine-readable perf trajectory CI diffs per commit
 // (bench/compare_bench.py).
 //
@@ -35,7 +36,6 @@
 
 #include "scenario/registries.hpp"
 #include "scenario/scenario.hpp"
-#include "sim/execution.hpp"
 #include "sim/kernel_execution.hpp"
 #include "util/strfmt.hpp"
 
@@ -161,19 +161,14 @@ Measurement run_case(const BenchCase& bench, const Topology& topo,
   const auto start = Clock::now();
   double elapsed = 0.0;
   while (elapsed < min_seconds) {
-    if (engine.path == EnginePath::scalar) {
-      Execution exec(topo.net(), factory, problem(), adversary(), config());
-      exec.run();
-      m.rounds += exec.round();
-    } else {
-      std::shared_ptr<Problem> prob = problem();
-      std::unique_ptr<AlgorithmKernel> k =
-          scenario::select_kernel(kernel, *prob, factory);
-      KernelExecution exec(topo.net(), factory, std::move(k),
-                           std::move(prob), adversary(), config());
-      exec.run();
-      m.rounds += exec.round();
-    }
+    std::shared_ptr<Problem> prob = problem();
+    std::unique_ptr<AlgorithmKernel> k = scenario::select_kernel(
+        engine.path == EnginePath::scalar ? KernelFactory{} : kernel, *prob,
+        factory);
+    KernelExecution exec(topo.net(), factory, std::move(k), std::move(prob),
+                         adversary(), config());
+    exec.run();
+    m.rounds += exec.round();
     ++m.reps;
     elapsed = std::chrono::duration<double>(Clock::now() - start).count();
   }

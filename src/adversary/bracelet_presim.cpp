@@ -3,7 +3,7 @@
 #include <memory>
 
 #include "adversary/static_adversaries.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "sim/problem.hpp"
 #include "util/assert.hpp"
 #include "util/mathutil.hpp"
@@ -47,9 +47,10 @@ void BraceletPresimOblivious::on_execution_start(const ExecutionSetup& setup,
       return out;
     };
 
-    Execution sub(band_net, *setup.factory,
-                  std::make_shared<AssignmentProblem>(k, -1, std::vector<int>{}),
-                  std::make_unique<NoExtraEdges>(), sub_cfg);
+    KernelExecution sub(
+        band_net, *setup.factory, make_scalar_kernel_adapter(*setup.factory),
+        std::make_shared<AssignmentProblem>(k, -1, std::vector<int>{}),
+        std::make_unique<NoExtraEdges>(), sub_cfg);
     while (!sub.done()) sub.step();
 
     // Band heads occupy local id 0.

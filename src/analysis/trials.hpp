@@ -40,8 +40,8 @@ void note_trial_executed();
 
 /// Runs `count` trials with seeds base_seed, base_seed+1, ... and returns
 /// the raw fn values in seed order. `threads > 1` distributes trials over a
-/// pool; `fn` must then be safe to call concurrently (every Execution built
-/// from a distinct seed is).
+/// pool; `fn` must then be safe to call concurrently (every KernelExecution
+/// built from a distinct seed is).
 std::vector<double> run_raw_trials(int count, std::uint64_t base_seed,
                                    const TrialFn& fn, int threads = 1);
 

@@ -90,11 +90,12 @@ struct ScenarioResult {
   std::vector<PointResult> points;
 };
 
-/// Which execution engine measures the trials. Both produce byte-identical
-/// results for every registered algorithm: trials are keyed by seed, and
-/// kernels contract to draw-for-draw parity with their scalar algorithms
-/// (the catalog-wide equality test enforces it). `kernel` is the fast
-/// path; `scalar` keeps the reference engine one flag away.
+/// Which kernel drives the nodes of each trial's KernelExecution. Both
+/// produce byte-identical results for every registered algorithm: trials
+/// are keyed by seed, and kernels contract to draw-for-draw parity with
+/// their scalar algorithms (the catalog-wide equality test enforces it).
+/// `kernel` uses the registered batch port where there is one; `scalar`
+/// forces the scalar adapter (make_scalar_kernel_adapter) everywhere.
 enum class EnginePath : std::uint8_t { kernel, scalar };
 
 const char* to_string(EnginePath engine);
@@ -110,9 +111,9 @@ struct RunOptions {
   /// <= 1, the legacy per-cell trial pool (`threads`) is used.
   /// run_scenarios() extends the same queue across *scenarios*.
   int sweep_threads = 1;
-  /// Engine selection (see EnginePath). Algorithms without a registered
+  /// Kernel selection (see EnginePath). Algorithms without a registered
   /// kernel, and problems that read Process objects, transparently run
-  /// through the scalar-adapter kernel on the kernel path.
+  /// through the scalar-adapter kernel on the kernel path too.
   EnginePath engine = EnginePath::kernel;
   /// History retention requested for every trial execution. `lean` keeps
   /// O(n) running aggregates instead of the O(rounds·n) trace; the engine
@@ -122,9 +123,10 @@ struct RunOptions {
   HistoryPolicy history = HistoryPolicy::lean;
   /// RNG stream discipline for kernel-path trials (see RngMode in
   /// util/rng.hpp). `per_node` (default) replays byte-identically against
-  /// the scalar engine; `word` batches 64 transmit coins per draw ladder —
+  /// the scalar adapter; `word` batches 64 transmit coins per draw ladder —
   /// same per-trial distribution, different sample paths, so medians may
-  /// shift within trial noise. Requires engine == kernel.
+  /// shift within trial noise. Requires engine == kernel: the adapter has
+  /// no word path and would silently draw per node under a "word" label.
   RngMode rng = RngMode::per_node;
   int trials_override = 0; ///< > 0 replaces spec.trials
   bool smoke = false;      ///< single tiny sweep point, 1 trial, capped budget

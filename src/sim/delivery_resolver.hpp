@@ -1,7 +1,6 @@
 #pragma once
 
-// The §2 receive rule, factored out of the engines so the scalar and batch
-// execution paths resolve deliveries identically:
+// The §2 receive rule, as KernelExecution resolves it each round:
 //
 //   u receives m from v iff u listens, v transmits m, and v is the *only*
 //   transmitter among u's neighbors in G ∪ (selected G'-only edges).
@@ -101,7 +100,8 @@ class DeliveryResolver {
   Path forced_ = Path::auto_select;
   Path last_ = Path::sweep;
 
-  // Scratch reused across rounds (see Execution's zero-allocation contract).
+  // Scratch reused across rounds (see KernelExecution's zero-allocation
+  // contract).
   std::vector<int> hear_count_;
   std::vector<int> last_sender_;
   std::vector<int> last_tx_index_;

@@ -11,23 +11,19 @@
 // both sides of the hot path already speak — the i.i.d. adversary samples
 // edges word-parallel and keeps the `present` words it draws, and the
 // resolver's sparse-application strategies test/iterate mask words directly.
-// The old index-vector representation survives only as the `some()`
-// compatibility constructor, which packs to a mask (and collapses an empty
-// selection to `none`, so no-op rounds take the resolver's no-overlay fast
-// path).
+// An empty selection collapses to `none` (finish_mask), so no-op rounds take
+// the resolver's no-overlay fast path. (Tests build masks from index vectors
+// with testing::some_edges in tests/test_support.hpp.)
 //
 // Allocation discipline: adversaries fill a caller-provided EdgeSet in place
 // (LinkProcess::choose_* out-parameter). The engine rotates the mask buffer
 // through the round record and the history's reusable last-record, so a
 // steady-state round performs no mask allocations.
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
-
-#include "util/assert.hpp"
 
 namespace dualcast {
 
@@ -39,8 +35,7 @@ struct EdgeSet {
   /// kind == mask — under other kinds the vector may hold stale words from
   /// an earlier round (set_none/set_all leave it untouched, which is what
   /// lets begin_mask_overwrite skip the refill). May be shorter than the
-  /// full space — absent words are all-zero (the some() constructor sizes
-  /// to the highest set bit).
+  /// full space — absent words are all-zero.
   std::vector<std::uint64_t> mask;
   /// Number of set bits in `mask` (maintained by the fill helpers).
   std::int64_t count = 0;
@@ -105,24 +100,6 @@ struct EdgeSet {
 
   static EdgeSet none() { return {}; }
   static EdgeSet all() { return EdgeSet{Kind::all, {}, 0}; }
-
-  /// Compatibility constructor: packs an index vector into a mask (sized to
-  /// the highest index; duplicates are counted once; an empty selection
-  /// collapses to `none`). Indices must be non-negative.
-  static EdgeSet some(const std::vector<std::int32_t>& indices) {
-    EdgeSet e;
-    std::int32_t max_idx = -1;
-    for (const std::int32_t idx : indices) {
-      DC_EXPECTS_MSG(idx >= 0, "EdgeSet::some: negative edge index");
-      max_idx = std::max(max_idx, idx);
-    }
-    e.begin_mask(static_cast<std::int64_t>(max_idx) + 1);
-    for (const std::int32_t idx : indices) {
-      if (!e.test(idx)) e.set_bit(idx);
-    }
-    e.finish_mask();
-    return e;
-  }
 };
 
 /// Visits the set bits of `mask` ascending: fn(edge_index).

@@ -6,10 +6,10 @@ namespace dualcast {
 namespace {
 
 /// The compatibility adapter: n scalar processes behind the batch
-/// interface. Replicates the scalar engine's per-node loops exactly —
-/// including the full per-node feedback fan-out — so any Process runs on
-/// the batch engine with bit-identical behavior (and no speedup; port hot
-/// algorithms to a real kernel for that).
+/// interface. Runs the §2 round's per-node loops — including the full
+/// per-node feedback fan-out — so any Process runs on the engine with
+/// bit-identical behavior (and no speedup; port hot algorithms to a real
+/// kernel for that).
 class ScalarKernelAdapter final : public AlgorithmKernel {
  public:
   explicit ScalarKernelAdapter(ProcessFactory factory)

@@ -5,7 +5,7 @@
 // dispatches, n Action constructions, and n RoundFeedback deliveries.
 //
 //   on_round_batch    — append this round's transmitters (ascending node
-//                       order, exactly the order the scalar engine visits
+//                       order, exactly the order the scalar adapter visits
 //                       nodes) into the engine's reusable round record;
 //   on_feedback_batch — consume the resolved round from flat arrays:
 //                       deliveries, collision listeners, transmit flags.
@@ -15,17 +15,17 @@
 // that actually act in a round, so steady-state cost is O(actors), not
 // O(n).
 //
-// RNG discipline — the bit-for-bit contract with the scalar engine: a
+// RNG discipline — the bit-for-bit contract with the scalar algorithm: a
 // kernel draws from the same per-node forked streams (`rngs[v]`) and must
 // consume, for every node and round, exactly the draws the scalar
 // algorithm's init/on_round/on_feedback would consume from that node's
 // stream. Node streams are independent, so the order in which a kernel
 // visits nodes within a round is free; the per-stream draw sequence is
 // not. Engines verify nothing here — the equivalence test suite does
-// (tests/test_sim_kernel_engine.cpp runs both engines and compares whole
-// histories).
+// (tests/test_sim_kernel_engine.cpp runs each native kernel against the
+// scalar adapter and compares whole histories).
 //
-// Any scalar ProcessFactory runs unmodified on the batch engine through
+// Any scalar ProcessFactory runs unmodified on the engine through
 // make_scalar_kernel_adapter(); the adapter additionally exposes its
 // Process vector so history-era consumers (problems that inspect
 // processes, the StateInspector) keep working.
@@ -62,7 +62,7 @@ struct KernelSetup {
 
 /// Sink for a round's transmissions, writing straight into the engine's
 /// reusable RoundRecord and tx-index map. Kernels must emit transmitters in
-/// ascending node order (the scalar engine's visit order).
+/// ascending node order (the scalar adapter's visit order).
 class TxBatch {
  public:
   TxBatch(RoundRecord& record, std::vector<int>& tx_index_of)

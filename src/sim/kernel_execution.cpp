@@ -49,8 +49,8 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
 
   factory_holder_ = std::move(factory);
 
-  // Stream forks in the exact scalar-engine order: node 0..n-1, then the
-  // adversary.
+  // Fixed fork order (node 0..n-1, then the adversary): every recorded
+  // result depends on it.
   Rng master(config_.seed);
   const int n = net.n();
   node_rngs_.reserve(static_cast<std::size_t>(n));
@@ -60,7 +60,7 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
   adversary_rng_ = master.fork("link-process");
   if (config_.rng_mode == RngMode::word) {
     // Word mode: one extra stream per 64-node block, forked after the
-    // scalar-parity streams (each fork advances the master's fork counter,
+    // per-node streams (each fork advances the master's fork counter,
     // so these are independent of every node/adversary stream).
     const int blocks = (n + 63) / 64;
     block_rngs_.reserve(static_cast<std::size_t>(blocks));
@@ -118,6 +118,13 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
 }
 
 KernelExecution::~KernelExecution() = default;
+
+const Process& KernelExecution::process(int v) const {
+  const auto* procs = kernel_->processes();
+  DC_EXPECTS_MSG(procs != nullptr, "process() needs a process-backed kernel");
+  DC_EXPECTS(v >= 0 && v < static_cast<int>(procs->size()));
+  return *(*procs)[static_cast<std::size_t>(v)];
+}
 
 bool KernelExecution::problem_solved() const {
   const auto* procs = kernel_->processes();

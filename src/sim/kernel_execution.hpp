@@ -1,29 +1,34 @@
 #pragma once
 
-// The batch execution engine: Execution's round structure (see
-// execution.hpp — the five-step §2 round is identical, enforced in the
-// same order) driven through an AlgorithmKernel instead of n Process
-// objects.
+// The synchronous execution engine for the dual graph model (§2).
 //
-// Differences from the scalar engine are strictly mechanical:
+// Round structure (enforcing each adversary class's information access):
 //
-//   * actions are drawn by one on_round_batch call that appends
-//     transmitters straight into the reusable round record (no per-node
-//     virtual dispatch, no Action array in the common case);
-//   * the per-node Action array is materialized only for offline adaptive
-//     adversaries — the one consumer entitled to it — and only its
-//     transmitter entries are rewritten each round;
-//   * feedback is one on_feedback_batch call over the round's deliveries
-//     (O(deliveries), not O(n));
-//   * problems run through solved_batch()/NodeStateView unless the kernel
-//     is the scalar adapter, in which case the real Process vector is used.
+//   1. online adaptive adversaries choose the round's G'-only edges first,
+//      seeing history + start-of-round state but no round-r coins;
+//   2. every node draws its action (transmit/listen) from its private
+//      stream — one AlgorithmKernel::on_round_batch call appends the
+//      round's transmitters straight into the reusable round record;
+//   3. oblivious adversaries' choices are read from their precommitted
+//      schedule (they never see any execution information); offline adaptive
+//      adversaries choose now, seeing the drawn actions (the per-node Action
+//      array is materialized for them alone);
+//   4. deliveries are resolved under the §2 receive rule: u receives m from v
+//      iff u listens, v transmits m, and v is the *only* transmitter among
+//      u's neighbors in G ∪ (selected G'-only edges). Silence and collision
+//      are indistinguishable to processes (no collision detection);
+//   5. feedback is delivered (one on_feedback_batch call over the round's
+//      deliveries), the round is recorded, and the problem monitor updates
+//      its solved state.
 //
-// RNG streams are forked exactly as in Execution (per-node streams in node
-// order, then the adversary stream), and kernels contract to consume
-// per-stream draws identically to their scalar algorithm — so a
-// KernelExecution replays bit-identically against the scalar engine. The
-// equivalence suite (tests/test_sim_kernel_engine.cpp and the catalog-wide
-// scenario test) enforces this.
+// The engine is deterministic: a master seed forks one stream per node (in
+// node order) plus one for the adversary, so identical configurations
+// replay identically. Nodes are driven by an AlgorithmKernel: a native
+// batch port, or make_scalar_kernel_adapter around any ProcessFactory
+// (`--engine scalar` forces the adapter). Kernels contract to consume
+// per-stream draws exactly as their scalar algorithm does, so both replay
+// bit-identically; tests/test_sim_kernel_engine.cpp and the catalog-wide
+// scenario test enforce this.
 
 #include <memory>
 #include <vector>
@@ -68,6 +73,10 @@ class KernelExecution {
   const StateInspector& inspector() const { return inspector_; }
   const AlgorithmKernel& kernel() const { return *kernel_; }
 
+  /// Access to a process, e.g. for algorithm-specific assertions in tests.
+  /// Requires a kernel backed by processes (the scalar adapter).
+  const Process& process(int v) const;
+
   const std::vector<int>& first_receive_round() const {
     return first_receive_round_;
   }
@@ -102,13 +111,17 @@ class KernelExecution {
   bool offline_actions_ = false;  ///< maintain actions_ for choose_offline
   std::vector<int> first_receive_round_;
 
-  // Reusable per-round scratch (same zero-allocation contract as the
-  // scalar engine).
+  // Scratch reused across rounds, so a steady-state step() performs no
+  // allocations of its own (the stored RoundRecord under the full history
+  // policy, and whatever the adversary allocates inside its choose_* hook,
+  // are the only remaining per-round allocations).
   std::vector<Action> actions_;  ///< offline adaptive adversaries only
   RoundRecord record_;
   std::vector<int> tx_index_of_;
-  /// Adversary choice scratch; its mask buffer rotates through
-  /// record_.activated_mask (see Execution::edges_).
+  /// The adversary's per-round choice, filled in place by the choose_*
+  /// hooks. Its mask buffer rotates through record_.activated_mask (and,
+  /// under lean history, the history's reusable last-record), so mask
+  /// rounds allocate nothing in steady state.
   EdgeSet edges_;
   DeliveryResolver resolver_;
 };

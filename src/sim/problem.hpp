@@ -28,7 +28,7 @@ namespace dualcast {
 class Process;
 
 /// Read-only per-node algorithm state, as exposed by the batch engine's
-/// kernel (mirrors the scalar engine's Process vector for the queries
+/// kernel (mirrors the scalar adapter's Process vector for the queries
 /// problems actually make).
 class NodeStateView {
  public:

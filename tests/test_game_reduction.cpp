@@ -12,12 +12,14 @@
 #include "core/kernels.hpp"
 #include "game/reduction_player.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "test_support.hpp"
 #include "util/assert.hpp"
 #include "util/mathutil.hpp"
 
 namespace dualcast {
 namespace {
+
+using testing::scalar_execution;
 
 DecayGlobalConfig persistent_decay(ScheduleKind kind) {
   DecayGlobalConfig cfg = DecayGlobalConfig::fast(kind);
@@ -110,9 +112,9 @@ TEST(ReductionPlayer, SparseRoundsDominateForDecay) {
 }
 
 TEST(ReductionPlayer, KernelEngineReplaysScalarPlayerExactly) {
-  // The batch-engine port: with the algorithm's kernel supplied, the inner
-  // simulation runs on KernelExecution. Engines replay bit-identically, so
-  // the whole played game — labels, guesses, win round — must match the
+  // With the algorithm's kernel supplied, the inner simulation runs on it
+  // instead of the scalar adapter. The two replay bit-identically, so the
+  // whole played game — labels, guesses, win round — must match the
   // scalar player outcome for outcome.
   const int beta = 48;
   Rng rng(23);
@@ -176,19 +178,19 @@ TEST(ReductionValidity, SimulationMatchesTrueTargetNetworkUntilTheWin) {
 
   // True target network: bridge at (target, target + beta).
   const DualCliqueNet true_net = dual_clique(2 * beta, target);
-  Execution real(
+  auto real = scalar_execution(
       true_net.net, decay_global_factory(persistent_decay(ScheduleKind::fixed)),
       std::make_shared<AssignmentProblem>(2 * beta, 0, std::vector<int>{}),
-      std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}), {seed,
-      outcome.sim_rounds + 1, {}});
+      std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}),
+      {seed, outcome.sim_rounds + 1, {}});
 
   // Re-run the player's simulation to recover its transmitter trace.
   const DualCliqueNet sim_net = dual_clique_without_bridge(2 * beta);
-  Execution sim(
+  auto sim = scalar_execution(
       sim_net.net, decay_global_factory(persistent_decay(ScheduleKind::fixed)),
       std::make_shared<AssignmentProblem>(2 * beta, 0, std::vector<int>{}),
-      std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}), {seed,
-      outcome.sim_rounds + 1, {}});
+      std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}),
+      {seed, outcome.sim_rounds + 1, {}});
 
   // All rounds before the winning one must agree exactly (the winning round
   // itself may diverge only *after* the winning transmission, which is the

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "scenario/cli.hpp"
+#include "scenario/plan.hpp"
 #include "scenario/registries.hpp"
 #include "sim/kernel_execution.hpp"
 
@@ -140,6 +142,34 @@ TEST(WordRngMode, DeterministicPerSeed) {
     EXPECT_EQ(run_trial(c, topo, seed, RngMode::word),
               run_trial(c, topo, seed, RngMode::word));
   }
+}
+
+TEST(WordRngMode, RejectedUnderTheScalarEngine) {
+  // The scalar adapter has no word path: it would silently draw per node,
+  // so a run labelled "word" must be refused rather than mislabelled.
+  scenario::RunOptions options;
+  options.engine = scenario::EnginePath::scalar;
+  options.rng = RngMode::word;
+  const scenario::ScenarioSpec& spec =
+      scenario::scenarios().get("fig1/static-global-clique");
+  EXPECT_THROW(scenario::apply_options(spec, options),
+               scenario::ScenarioError);
+  options.engine = scenario::EnginePath::kernel;
+  EXPECT_NO_THROW(scenario::apply_options(spec, options));
+
+  // The CLI reports it as a diagnostic and exit status 1.
+  std::vector<std::string> args{"dualcast_bench", "fig1/static-global-clique",
+                                "--smoke", "--engine", "scalar", "--rng",
+                                "word"};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  ::testing::internal::CaptureStderr();
+  const int status = scenario::run_main(static_cast<int>(argv.size()),
+                                        argv.data(), {});
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(status, 1);
+  EXPECT_NE(err.find("requires the kernel engine"), std::string::npos)
+      << "stderr was: " << err;
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // JobStore mechanics: meta roundtrip (with field-level corruption
 // diagnostics), shard geometry, fsync'd CRC-checksummed completion records
-// (exact double bit patterns, torn-line tolerance, v1 back-compat,
-// mid-file corruption -> quarantine), done markers, and lease
+// (exact double bit patterns, torn-line tolerance, v1 lines and mid-file
+// corruption -> quarantine), done markers, and lease
 // acquire/conflict/renew/release/steal semantics — including a two-thread
 // steal race under skewed fake clocks.
 
@@ -213,19 +213,40 @@ TEST(JobStore, MetaDiagnosticsNameTheProblem) {
   }
 }
 
-TEST(JobStore, V1RecordsRemainReadable) {
+TEST(JobStore, V1RecordIsQuarantinedAndRecomputed) {
+  // The unchecksummed v1 record syntax ("<task> <bits-hex> <decimal>") is
+  // not read: a v1 line is damage like any other. The scan reports it, a
+  // worker quarantines the log and recomputes the shard, and the job still
+  // merges byte-identical to an in-process run.
+  std::vector<std::string> reference;
+  for (const scenario::ScenarioResult& result :
+       scenario::run_scenarios({&mini_scenario()}, {})) {
+    scenario::append_json_rows(result, reference);
+  }
   const std::string dir = fresh_dir("store_v1");
   JobStore store = JobStore::create_or_attach(dir, mini_job(6, 60));
   const double value = 0.1 + 0.2;
   std::uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
-  // The PR-6 record format: "<task> <bits-hex> <decimal>", no checksum.
   std::ofstream(fs::path(dir) / "shards" / "shard_0.log", std::ios::binary)
       << "2 " << scenario::hash_hex(bits) << " 0.30000000000000004\n";
-  const std::vector<TaskRecord> records = store.read_shard_records(0);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].task, 2);
-  EXPECT_EQ(records[0].value, value);
+
+  const ShardScan scan = store.scan_shard_log(0);
+  EXPECT_TRUE(scan.corrupt);
+  EXPECT_EQ(scan.bad_line, 1);
+  EXPECT_TRUE(scan.records.empty());
+  EXPECT_NE(scan.detail.find("\"r2\" prefix"), std::string::npos)
+      << "detail was: " << scan.detail;
+  expect_error_mentioning("corrupt", [&] { store.read_shard_records(0); });
+
+  const JobRuntime runtime(store);
+  WorkerOptions options;
+  options.owner = "recoverer";
+  const WorkerReport report = run_worker(store, runtime, options);
+  EXPECT_EQ(report.shards_quarantined, 1);
+  EXPECT_EQ(report.tasks_executed, store.total_tasks());
+  JobRuntime merge_runtime(store);
+  EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference);
 }
 
 TEST(JobStore, MidFileCorruptionIsDetectedQuarantinedAndRecovered) {

@@ -1,5 +1,5 @@
 // Mask-native EdgeSet: an adversary that selects edges through the
-// EdgeSet::some() index-vector compatibility constructor and one that
+// some_edges() index-vector compatibility constructor and one that
 // writes mask words directly must produce byte-identical executions, in
 // every adversary class; the i.i.d. adversary's mask output must match an
 // index-vector reimplementation of its exact sampling loop; and implicit
@@ -15,13 +15,14 @@
 
 #include "adversary/static_adversaries.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
 #include "test_support.hpp"
 
 namespace dualcast {
 namespace {
 
+using testing::scalar_execution;
 using testing::scripted_factory;
+using testing::some_edges;
 
 /// Deterministic per-round index selection over `m` edges (shared by the
 /// index-style and mask-style adversaries below so their choices agree).
@@ -34,7 +35,7 @@ std::vector<std::int32_t> pick_indices(int round, std::int64_t m, int salt) {
 }
 
 /// One adversary per (class, style): style 0 routes through
-/// EdgeSet::some(), style 1 fills the mask in place.
+/// some_edges(), style 1 fills the mask in place.
 class StyledAdversary final : public LinkProcess {
  public:
   StyledAdversary(AdversaryClass cls, bool mask_style)
@@ -70,7 +71,7 @@ class StyledAdversary final : public LinkProcess {
       for (const std::int32_t idx : indices) out.set_bit(idx);
       out.finish_mask();
     } else {
-      out = EdgeSet::some(indices);
+      out = some_edges(indices);
     }
   }
 
@@ -131,7 +132,7 @@ ExecutionHistory run_styled(const DualGraph& net, AdversaryClass cls,
     script.resize(30);
     for (auto& bit : script) bit = rng.bernoulli(0.3) ? 1 : 0;
   }
-  Execution exec(
+  auto exec = scalar_execution(
       net, scripted_factory(scripts),
       std::make_shared<AssignmentProblem>(net.n(), -1, std::vector<int>{}),
       std::make_unique<StyledAdversary>(cls, mask_style),
@@ -203,7 +204,7 @@ class IndexIidEdges final : public LinkProcess {
         present &= present - 1;
       }
     }
-    out = EdgeSet::some(selected);
+    out = some_edges(selected);
   }
 
  private:
@@ -221,10 +222,11 @@ TEST(EdgeMaskDifferential, IidMaskMatchesIndexExpansionByteForByte) {
     for (auto& bit : script) bit = rng.bernoulli(0.3) ? 1 : 0;
   }
   const auto run = [&](std::unique_ptr<LinkProcess> adversary) {
-    Execution exec(
+    auto exec = scalar_execution(
         net, scripted_factory(scripts),
         std::make_shared<AssignmentProblem>(40, -1, std::vector<int>{}),
-        std::move(adversary), ExecutionConfig{}.with_seed(9).with_max_rounds(40));
+        std::move(adversary),
+        ExecutionConfig{}.with_seed(9).with_max_rounds(40));
     exec.run();
     return exec.history();
   };
@@ -242,7 +244,7 @@ TEST(EdgeMaskDifferential, IidEmptyRoundCollapsesToNone) {
   const DualGraph net = chordal_net(12, 3);
   std::vector<std::vector<char>> scripts(12);
   for (auto& script : scripts) script.assign(60, 1);
-  Execution exec(
+  auto exec = scalar_execution(
       net, scripted_factory(scripts),
       std::make_shared<AssignmentProblem>(12, -1, std::vector<int>{}),
       std::make_unique<RandomIidEdges>(0.01),
@@ -290,7 +292,7 @@ TEST(EdgeMaskDifferential, ImplicitDualCliqueReplaysExplicitByteForByte) {
     for (auto& bit : script) bit = rng.bernoulli(0.25) ? 1 : 0;
   }
   const auto run = [&](const DualGraph& net) {
-    Execution exec(
+    auto exec = scalar_execution(
         net, scripted_factory(scripts),
         std::make_shared<AssignmentProblem>(n, -1, std::vector<int>{}),
         std::make_unique<RandomIidEdges>(0.2),

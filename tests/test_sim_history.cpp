@@ -7,14 +7,15 @@
 #include "adversary/dense_sparse.hpp"
 #include "adversary/static_adversaries.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
 #include "test_support.hpp"
 #include "util/assert.hpp"
 
 namespace dualcast {
 namespace {
 
+using testing::scalar_execution;
 using testing::scripted_factory;
+using testing::some_edges;
 
 std::shared_ptr<Problem> assign(int n) {
   return std::make_shared<AssignmentProblem>(n, -1, std::vector<int>{});
@@ -58,9 +59,9 @@ DualGraph ring_with_chords(int n) {
 TEST(History, TotalsMatchRecords) {
   const DualGraph net = DualGraph::protocol(line_graph(4));
   // Rounds: r0 nodes {0}, r1 {0,2}, r2 {} transmit.
-  Execution exec(net,
-                 scripted_factory({{1, 1, 0}, {0, 0, 0}, {0, 1, 0}, {0, 0, 0}}),
-                 assign(4), std::make_unique<NoExtraEdges>(), {1, 3, {}});
+  auto exec = scalar_execution(
+      net, scripted_factory({{1, 1, 0}, {0, 0, 0}, {0, 1, 0}, {0, 0, 0}}),
+      assign(4), std::make_unique<NoExtraEdges>(), {1, 3, {}});
   exec.run();
   EXPECT_EQ(exec.history().rounds(), 3);
   EXPECT_EQ(exec.history().total_transmissions(), 3);
@@ -70,8 +71,8 @@ TEST(History, TotalsMatchRecords) {
 
 TEST(History, RoundAccessorBoundsChecked) {
   const DualGraph net = DualGraph::protocol(line_graph(2));
-  Execution exec(net, scripted_factory({{1}, {0}}), assign(2),
-                 std::make_unique<NoExtraEdges>(), {1, 1, {}});
+  auto exec = scalar_execution(net, scripted_factory({{1}, {0}}), assign(2),
+                               std::make_unique<NoExtraEdges>(), {1, 1, {}});
   exec.run();
   EXPECT_NO_THROW(exec.history().round(0));
   EXPECT_THROW(exec.history().round(1), ContractViolation);
@@ -80,8 +81,9 @@ TEST(History, RoundAccessorBoundsChecked) {
 
 TEST(History, SentMessagesParallelTransmitters) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
-  Execution exec(net, scripted_factory({{1}, {0}, {1}}), assign(3),
-                 std::make_unique<NoExtraEdges>(), {1, 1, {}});
+  auto exec = scalar_execution(net, scripted_factory({{1}, {0}, {1}}),
+                               assign(3), std::make_unique<NoExtraEdges>(),
+                               {1, 1, {}});
   exec.run();
   const RoundRecord& rec = exec.history().round(0);
   ASSERT_EQ(rec.transmitters.size(), rec.sent.size());
@@ -97,23 +99,27 @@ TEST(History, ActivatedAccountingPerKind) {
   gp.finalize();
   const DualGraph net(std::move(g), std::move(gp));
   {
-    Execution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
-                   std::make_unique<NoExtraEdges>(), {1, 1, {}});
+    auto exec = scalar_execution(net, scripted_factory({{1}, {0}, {0}}),
+                                 assign(3), std::make_unique<NoExtraEdges>(),
+                                 {1, 1, {}});
     exec.run();
     EXPECT_EQ(exec.history().round(0).activated, EdgeSet::Kind::none);
     EXPECT_EQ(exec.history().round(0).activated_count, 0);
     EXPECT_TRUE(exec.history().round(0).activated_mask.empty());
   }
   {
-    Execution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
-                   std::make_unique<AllExtraEdges>(), {1, 1, {}});
+    auto exec = scalar_execution(net, scripted_factory({{1}, {0}, {0}}),
+                                 assign(3), std::make_unique<AllExtraEdges>(),
+                                 {1, 1, {}});
     exec.run();
     EXPECT_EQ(exec.history().round(0).activated, EdgeSet::Kind::all);
     EXPECT_EQ(exec.history().round(0).activated_count, 1);
   }
   {
-    Execution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
-                   std::make_unique<RandomIidEdges>(1.0), {1, 1, {}});
+    auto exec = scalar_execution(net, scripted_factory({{1}, {0}, {0}}),
+                                 assign(3),
+                                 std::make_unique<RandomIidEdges>(1.0),
+                                 {1, 1, {}});
     exec.run();
     // p=1.0 short-circuits to Kind::all inside RandomIidEdges.
     EXPECT_EQ(exec.history().round(0).activated, EdgeSet::Kind::all);
@@ -134,11 +140,12 @@ TEST(History, MaskKindRecordsExactEdgeSet) {
       return AdversaryClass::oblivious;
     }
     void choose_oblivious(int, Rng&, EdgeSet& out) override {
-      out = EdgeSet::some({0});
+      out = some_edges({0});
     }
   };
-  Execution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), assign(4),
-                 std::make_unique<PickFirst>(), {1, 1, {}});
+  auto exec = scalar_execution(net, scripted_factory({{1}, {0}, {0}, {0}}),
+                               assign(4), std::make_unique<PickFirst>(),
+                               {1, 1, {}});
   exec.run();
   const RoundRecord& rec = exec.history().round(0);
   EXPECT_EQ(rec.activated, EdgeSet::Kind::mask);
@@ -151,7 +158,7 @@ TEST(History, MaskKindRecordsExactEdgeSet) {
 }
 
 TEST(History, EmptySelectionCollapsesToNone) {
-  // EdgeSet::some({}) — and any all-zero mask — must normalize to
+  // some_edges({}) — and any all-zero mask — must normalize to
   // Kind::none, so no-op rounds take the resolver's no-overlay fast path.
   Graph g = line_graph(4);
   Graph gp = g;
@@ -165,11 +172,12 @@ TEST(History, EmptySelectionCollapsesToNone) {
       return AdversaryClass::oblivious;
     }
     void choose_oblivious(int, Rng&, EdgeSet& out) override {
-      out = EdgeSet::some({});
+      out = some_edges({});
     }
   };
-  Execution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), assign(4),
-                 std::make_unique<EmptySome>(), {1, 1, {}});
+  auto exec = scalar_execution(net, scripted_factory({{1}, {0}, {0}, {0}}),
+                               assign(4), std::make_unique<EmptySome>(),
+                               {1, 1, {}});
   exec.run();
   const RoundRecord& rec = exec.history().round(0);
   EXPECT_EQ(rec.activated, EdgeSet::Kind::none);
@@ -190,11 +198,12 @@ TEST(History, EngineRejectsOutOfRangeEdgeIndices) {
       return AdversaryClass::oblivious;
     }
     void choose_oblivious(int, Rng&, EdgeSet& out) override {
-      out = EdgeSet::some({5});  // only index 0 exists
+      out = some_edges({5});  // only index 0 exists
     }
   };
-  Execution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
-                 std::make_unique<BadIndices>(), {1, 1, {}});
+  auto exec = scalar_execution(net, scripted_factory({{1}, {0}, {0}}),
+                               assign(3), std::make_unique<BadIndices>(),
+                               {1, 1, {}});
   EXPECT_THROW(exec.step(), ContractViolation);
 }
 
@@ -207,8 +216,9 @@ TEST(HistoryPolicyTest, LeanKeepsAggregatesDropsTrace) {
   // reproduce every aggregate the full policy computes.
   const DualGraph net = ring_with_chords(8);
   const auto make = [&](HistoryPolicy policy) {
-    return std::make_unique<Execution>(
-        net, periodic_factory(3), assign(8),
+    const ProcessFactory factory = periodic_factory(3);
+    return std::make_unique<KernelExecution>(
+        net, factory, make_scalar_kernel_adapter(factory), assign(8),
         std::make_unique<RandomIidEdges>(0.5),
         ExecutionConfig{}
             .with_seed(21)
@@ -245,12 +255,13 @@ TEST(HistoryPolicyTest, LeanMemoryIsIndependentOfRoundCountOver50kRounds) {
   // O(n) — identical to a 1k-round run and far below the full trace.
   const DualGraph net = ring_with_chords(16);
   const auto footprint_after = [&](int rounds) {
-    Execution exec(net, periodic_factory(4), assign(16),
-                   std::make_unique<RandomIidEdges>(0.5),
-                   ExecutionConfig{}
-                       .with_seed(5)
-                       .with_max_rounds(rounds)
-                       .with_history_policy(HistoryPolicy::lean));
+    auto exec = scalar_execution(
+        net, periodic_factory(4), assign(16),
+        std::make_unique<RandomIidEdges>(0.5),
+        ExecutionConfig{}
+            .with_seed(5)
+            .with_max_rounds(rounds)
+            .with_history_policy(HistoryPolicy::lean));
     exec.run();
     EXPECT_EQ(exec.history().rounds(), rounds);
     return exec.history().approx_bytes();
@@ -278,12 +289,12 @@ TEST(HistoryPolicyTest, AdaptiveAdversaryForcesFullFallback) {
     }
   };
   const DualGraph net = ring_with_chords(6);
-  Execution exec(net, periodic_factory(2), assign(6),
-                 std::make_unique<TraceReader>(),
-                 ExecutionConfig{}
-                     .with_seed(3)
-                     .with_max_rounds(10)
-                     .with_history_policy(HistoryPolicy::lean));
+  auto exec = scalar_execution(
+      net, periodic_factory(2), assign(6), std::make_unique<TraceReader>(),
+      ExecutionConfig{}
+          .with_seed(3)
+          .with_max_rounds(10)
+          .with_history_policy(HistoryPolicy::lean));
   exec.run();
   EXPECT_EQ(exec.history_policy(), HistoryPolicy::full);
   EXPECT_NO_THROW(exec.history().round(9));
@@ -293,12 +304,13 @@ TEST(HistoryPolicyTest, DeclaredNonReadersHonorLean) {
   // DenseSparseOnline is adaptive but declares needs_history() == false
   // (it reads only the StateInspector), so lean is honored.
   const DualGraph net = ring_with_chords(8);
-  Execution exec(net, periodic_factory(2), assign(8),
-                 std::make_unique<DenseSparseOnline>(DenseSparseConfig{}),
-                 ExecutionConfig{}
-                     .with_seed(3)
-                     .with_max_rounds(10)
-                     .with_history_policy(HistoryPolicy::lean));
+  auto exec = scalar_execution(
+      net, periodic_factory(2), assign(8),
+      std::make_unique<DenseSparseOnline>(DenseSparseConfig{}),
+      ExecutionConfig{}
+          .with_seed(3)
+          .with_max_rounds(10)
+          .with_history_policy(HistoryPolicy::lean));
   exec.run();
   EXPECT_EQ(exec.history_policy(), HistoryPolicy::lean);
 }

@@ -1,5 +1,5 @@
-// Batch-engine equivalence: for every ported kernel, KernelExecution must
-// replay bit-identically against the scalar Execution — same transmitters,
+// Kernel equivalence: for every ported kernel, KernelExecution must replay
+// bit-identically against the scalar adapter kernel — same transmitters,
 // messages, deliveries, solve round — across topologies, adversary classes
 // (including adaptive ones, which also exercises the kernel-backed
 // StateInspector), and problems. Plus the scalar-adapter path for custom
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "scenario/registries.hpp"
-#include "sim/execution.hpp"
 #include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/assert.hpp"
@@ -30,8 +29,8 @@ struct Combo {
   int max_rounds;
 };
 
-/// Runs `max_rounds` (or to solve) on both engines and compares the full
-/// observable trace.
+/// Runs `max_rounds` (or to solve) with the native kernel and with the
+/// scalar adapter, and compares the full observable trace.
 void expect_engines_agree(const Combo& combo, std::uint64_t seed) {
   SCOPED_TRACE(combo.topology + " | " + combo.algorithm + " | " +
                combo.adversary + " | " + combo.problem);
@@ -55,7 +54,8 @@ void expect_engines_agree(const Combo& combo, std::uint64_t seed) {
         .with_history_policy(HistoryPolicy::full);
   };
 
-  Execution scalar(topo.net(), factory, problem(), adversary(), config());
+  auto scalar = testing::scalar_execution(topo.net(), factory, problem(),
+                                          adversary(), config());
   const RunResult scalar_result = scalar.run();
   KernelExecution kernel(topo.net(), factory, kernel_factory(), problem(),
                          adversary(), config());
@@ -176,40 +176,51 @@ TEST(KernelEngineEquivalence, MultipleSeedsSpotCheck) {
 }
 
 TEST(KernelEngineAdapter, CustomProcessRunsIdentically) {
-  // A scripted (non-ported) algorithm through the adapter: the batch engine
-  // must reproduce the scalar run including per-process feedback.
+  // A scripted (non-ported) algorithm through the adapter: every round's
+  // transmitters are exactly the scripted ones, and each process's own
+  // feedback agrees with the recorded deliveries.
   const Topology topo = scenario::topologies().build("dual_clique(16)", 5);
-  const ProcessFactory factory = testing::scripted_factory([&] {
-    std::vector<std::vector<char>> scripts(16);
-    scripts[1] = {1, 0, 1, 0, 1};
-    scripts[5] = {0, 1, 1, 0, 0};
-    scripts[9] = {0, 0, 1, 1, 0};
-    return scripts;
-  }());
-  const auto run = [&](auto&& make) {
-    auto exec = make();
-    exec->run();
-    std::vector<std::vector<int>> tx;
-    for (const auto& rec : exec->history().records()) {
-      tx.push_back(rec.transmitters);
+  std::vector<std::vector<char>> scripts(16);
+  scripts[1] = {1, 0, 1, 0, 1};
+  scripts[5] = {0, 1, 1, 0, 0};
+  scripts[9] = {0, 0, 1, 1, 0};
+  const int rounds = 5;
+  auto exec = testing::scalar_execution(
+      topo.net(), testing::scripted_factory(scripts),
+      scenario::problems().build("assignment(1)", topo)(),
+      scenario::adversaries().build("iid(0.5)", topo)(),
+      ExecutionConfig{}
+          .with_seed(3)
+          .with_max_rounds(rounds)
+          .with_history_policy(HistoryPolicy::full));
+  exec.run();
+  ASSERT_EQ(exec.round(), rounds);
+  for (int r = 0; r < rounds; ++r) {
+    const RoundRecord& rec = exec.history().round(r);
+    std::vector<int> scripted;
+    for (int v = 0; v < topo.n(); ++v) {
+      const auto& script = scripts[static_cast<std::size_t>(v)];
+      if (r < static_cast<int>(script.size()) &&
+          script[static_cast<std::size_t>(r)]) {
+        scripted.push_back(v);
+      }
     }
-    return tx;
-  };
-  const auto problem = scenario::problems().build("assignment(1)", topo);
-  const auto adversary = scenario::adversaries().build("iid(0.5)", topo);
-  const auto cfg =
-      ExecutionConfig{}.with_seed(3).with_max_rounds(5).with_history_policy(
-          HistoryPolicy::full);
-  const auto scalar_tx = run([&] {
-    return std::make_unique<Execution>(topo.net(), factory, problem(),
-                                       adversary(), cfg);
-  });
-  const auto kernel_tx = run([&] {
-    return std::make_unique<KernelExecution>(
-        topo.net(), factory, make_scalar_kernel_adapter(factory), problem(),
-        adversary(), cfg);
-  });
-  EXPECT_EQ(scalar_tx, kernel_tx);
+    EXPECT_EQ(rec.transmitters, scripted) << "round " << r;
+    for (int v = 0; v < topo.n(); ++v) {
+      const auto& proc =
+          dynamic_cast<const testing::ScriptedProcess&>(exec.process(v));
+      ASSERT_EQ(static_cast<int>(proc.feedback().size()), rounds);
+      const RoundFeedback& fb = proc.feedback()[static_cast<std::size_t>(r)];
+      EXPECT_EQ(fb.transmitted, std::count(scripted.begin(), scripted.end(),
+                                           v) == 1);
+      const auto d = std::find_if(
+          rec.deliveries.begin(), rec.deliveries.end(),
+          [&](const Delivery& x) { return x.receiver == v; });
+      EXPECT_EQ(fb.received.has_value(), d != rec.deliveries.end())
+          << "round " << r << " node " << v;
+      EXPECT_EQ(fb.sender, d != rec.deliveries.end() ? d->sender : -1);
+    }
+  }
 }
 
 TEST(KernelEngineContract, NonBatchProblemRequiresAdapter) {
@@ -239,6 +250,23 @@ TEST(KernelEngineContract, NonBatchProblemRequiresAdapter) {
                        ExecutionConfig{}.with_seed(1).with_max_rounds(4));
   exec.run();
   EXPECT_TRUE(exec.solved());
+}
+
+TEST(KernelEngineContract, ProcessAccessorNeedsProcessBackedKernel) {
+  const Topology topo = scenario::topologies().build("dual_clique(8)", 5);
+  const ProcessFactory factory = scenario::algorithms().build("round_robin");
+  const KernelFactory kernel = scenario::build_kernel_or_null("round_robin");
+  const auto problem = scenario::problems().build("global(0)", topo);
+  const auto adversary = scenario::adversaries().build("none", topo);
+  KernelExecution native(topo.net(), factory, kernel(), problem(), adversary(),
+                         ExecutionConfig{}.with_seed(1));
+  EXPECT_THROW(native.process(0), ContractViolation);
+  auto adapted = testing::scalar_execution(topo.net(), factory, problem(),
+                                           adversary(),
+                                           ExecutionConfig{}.with_seed(1));
+  EXPECT_TRUE(adapted.process(0).has_message());
+  EXPECT_FALSE(adapted.process(1).has_message());
+  EXPECT_THROW(adapted.process(8), ContractViolation);
 }
 
 }  // namespace

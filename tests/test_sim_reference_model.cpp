@@ -11,12 +11,12 @@
 #include "adversary/offline_collider.hpp"
 #include "adversary/static_adversaries.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
 #include "test_support.hpp"
 
 namespace dualcast {
 namespace {
 
+using testing::scalar_execution;
 using testing::scripted_factory;
 
 /// Recomputes the deliveries of one recorded round per the §2 rule.
@@ -67,10 +67,10 @@ void fuzz_network(const DualGraph& net, std::unique_ptr<LinkProcess> adversary,
     script.resize(static_cast<std::size_t>(rounds));
     for (auto& bit : script) bit = rng.bernoulli(0.35) ? 1 : 0;
   }
-  Execution exec(net, scripted_factory(scripts),
-                 std::make_shared<AssignmentProblem>(net.n(), -1,
-                                                     std::vector<int>{}),
-                 std::move(adversary), {seed, rounds, {}});
+  auto exec = scalar_execution(
+      net, scripted_factory(scripts),
+      std::make_shared<AssignmentProblem>(net.n(), -1, std::vector<int>{}),
+      std::move(adversary), {seed, rounds, {}});
   exec.run();
   ASSERT_EQ(exec.history().rounds(), rounds);
   for (int r = 0; r < rounds; ++r) {
@@ -167,9 +167,10 @@ TEST(CollisionDetection, ListenersLearnOfCollisionsWhenEnabled) {
   };
   ExecutionConfig cfg{1, 1, {}};
   cfg.collision_detection = true;
-  Execution exec(net, factory,
-                 std::make_shared<AssignmentProblem>(3, -1, std::vector<int>{}),
-                 std::make_unique<NoExtraEdges>(), cfg);
+  auto exec = scalar_execution(
+      net, factory,
+      std::make_shared<AssignmentProblem>(3, -1, std::vector<int>{}),
+      std::make_unique<NoExtraEdges>(), cfg);
   exec.run();
   ASSERT_EQ(probes.size(), 3u);
   EXPECT_TRUE(probes[0]->collisions_[0]);   // center: two neighbors collided
@@ -187,9 +188,10 @@ TEST(CollisionDetection, DisabledByDefaultPerThePaperModel) {
     probes.push_back(proc.get());
     return proc;
   };
-  Execution exec(net, factory,
-                 std::make_shared<AssignmentProblem>(3, -1, std::vector<int>{}),
-                 std::make_unique<NoExtraEdges>(), {1, 1, {}});
+  auto exec = scalar_execution(
+      net, factory,
+      std::make_shared<AssignmentProblem>(3, -1, std::vector<int>{}),
+      std::make_unique<NoExtraEdges>(), {1, 1, {}});
   exec.run();
   EXPECT_FALSE(probes[0]->collisions_[0]);  // silence == collision
 }
@@ -207,9 +209,10 @@ TEST(CollisionDetection, FastPathReportsCollisionsToo) {
   };
   ExecutionConfig cfg{1, 1, {}};
   cfg.collision_detection = true;
-  Execution exec(dc.net, factory,
-                 std::make_shared<AssignmentProblem>(8, -1, std::vector<int>{}),
-                 std::make_unique<AllExtraEdges>(), cfg);
+  auto exec = scalar_execution(
+      dc.net, factory,
+      std::make_shared<AssignmentProblem>(8, -1, std::vector<int>{}),
+      std::make_unique<AllExtraEdges>(), cfg);
   exec.run();
   for (int v = 2; v < 8; ++v) {
     EXPECT_TRUE(probes[static_cast<std::size_t>(v)]->collisions_[0])
@@ -230,9 +233,10 @@ TEST(CollisionDetection, SingleTransmitterNeverFlagsCollision) {
   };
   ExecutionConfig cfg{1, 1, {}};
   cfg.collision_detection = true;
-  Execution exec(net, factory,
-                 std::make_shared<AssignmentProblem>(4, -1, std::vector<int>{}),
-                 std::make_unique<NoExtraEdges>(), cfg);
+  auto exec = scalar_execution(
+      net, factory,
+      std::make_shared<AssignmentProblem>(4, -1, std::vector<int>{}),
+      std::make_unique<NoExtraEdges>(), cfg);
   exec.run();
   for (const auto* probe : probes) {
     EXPECT_FALSE(probe->collisions_[0]);

@@ -11,10 +11,13 @@
 
 #include "graph/generators.hpp"
 #include "sim/delivery_resolver.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace dualcast {
 namespace {
+
+using testing::some_edges;
 
 struct Resolved {
   /// (receiver, sender, transmitter_index), sorted: the two strategies emit
@@ -143,7 +146,7 @@ TEST(DeliveryResolverDifferential, BitmapMatchesSweepAndReference) {
         for (std::int64_t e = 0; e < m_extra; ++e) {
           if (rng.bernoulli(0.4)) idx.push_back(static_cast<std::int32_t>(e));
         }
-        edges = EdgeSet::some(std::move(idx));
+        edges = some_edges(std::move(idx));
       }
       for (const bool collision : {false, true}) {
         const Resolved reference =
@@ -252,7 +255,7 @@ TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
             for (std::int64_t e = 0; e < m_extra; ++e) {
               if (rng.bernoulli(0.3)) idx.push_back(static_cast<std::int32_t>(e));
             }
-            edges = EdgeSet::some(std::move(idx));
+            edges = some_edges(std::move(idx));
           }
           for (const bool collision : {false, true}) {
             const Resolved reference =
@@ -342,7 +345,7 @@ TEST(DeliveryResolverDifferential, BlockedBitmapsAgreeWithSweepPast4096) {
       for (std::int64_t e = 0; e < m_extra; ++e) {
         if (rng.bernoulli(0.4)) idx.push_back(static_cast<std::int32_t>(e));
       }
-      edges = EdgeSet::some(std::move(idx));
+      edges = some_edges(std::move(idx));
     }
     for (const bool collision : {false, true}) {
       const Resolved sweep = resolve_with(DeliveryResolver::Path::sweep, net,

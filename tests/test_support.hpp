@@ -1,17 +1,54 @@
 #pragma once
 
-// Shared helpers for the test suite: scripted processes, one-call execution
-// runners, and median-over-seeds measurement.
+// Shared helpers for the test suite: scripted processes, scalar-adapter
+// executions and one-call runners, index-vector edge sets, and
+// median-over-seeds measurement.
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "analysis/stats.hpp"
-#include "sim/execution.hpp"
+#include "sim/edge_set.hpp"
+#include "sim/kernel.hpp"
+#include "sim/kernel_execution.hpp"
 #include "sim/problem.hpp"
 #include "sim/process.hpp"
+#include "util/assert.hpp"
 
 namespace dualcast::testing {
+
+/// A KernelExecution whose nodes are driven by the scalar adapter kernel
+/// around `factory`: one Process object per node, so exec.process(v) works.
+inline KernelExecution scalar_execution(const DualGraph& net,
+                                        ProcessFactory factory,
+                                        std::shared_ptr<Problem> problem,
+                                        std::unique_ptr<LinkProcess> adversary,
+                                        ExecutionConfig config) {
+  std::unique_ptr<AlgorithmKernel> kernel = make_scalar_kernel_adapter(factory);
+  return KernelExecution(net, std::move(factory), std::move(kernel),
+                         std::move(problem), std::move(adversary),
+                         std::move(config));
+}
+
+/// Packs an index vector into an EdgeSet mask (sized to the highest index;
+/// duplicates are counted once; an empty selection collapses to `none`).
+/// Indices must be non-negative.
+inline EdgeSet some_edges(const std::vector<std::int32_t>& indices) {
+  EdgeSet e;
+  std::int32_t max_idx = -1;
+  for (const std::int32_t idx : indices) {
+    DC_EXPECTS_MSG(idx >= 0, "some_edges: negative edge index");
+    max_idx = std::max(max_idx, idx);
+  }
+  e.begin_mask(static_cast<std::int64_t>(max_idx) + 1);
+  for (const std::int32_t idx : indices) {
+    if (!e.test(idx)) e.set_bit(idx);
+  }
+  e.finish_mask();
+  return e;
+}
 
 /// A process driven by an explicit per-round script: transmit in round r iff
 /// script[r] is true (clamped to listen after the script ends). Useful for
@@ -65,10 +102,11 @@ inline ProcessFactory scripted_factory(std::vector<std::vector<char>> scripts) {
 inline RunResult run_global(const DualGraph& net, ProcessFactory factory,
                             std::unique_ptr<LinkProcess> adversary, int source,
                             std::uint64_t seed, int max_rounds) {
-  Execution exec(net, std::move(factory),
-                 std::make_shared<GlobalBroadcastProblem>(net, source),
-                 std::move(adversary), ExecutionConfig{seed, max_rounds, {}});
-  return exec.run();
+  return scalar_execution(net, std::move(factory),
+                          std::make_shared<GlobalBroadcastProblem>(net, source),
+                          std::move(adversary),
+                          ExecutionConfig{seed, max_rounds, {}})
+      .run();
 }
 
 /// Runs local broadcast and returns the result.
@@ -77,11 +115,12 @@ inline RunResult run_local(const DualGraph& net, ProcessFactory factory,
                            std::vector<int> broadcast_set, std::uint64_t seed,
                            int max_rounds,
                            ReceiverCredit credit = ReceiverCredit::any_b_sender) {
-  Execution exec(net, std::move(factory),
-                 std::make_shared<LocalBroadcastProblem>(
-                     net, std::move(broadcast_set), credit),
-                 std::move(adversary), ExecutionConfig{seed, max_rounds, {}});
-  return exec.run();
+  return scalar_execution(net, std::move(factory),
+                          std::make_shared<LocalBroadcastProblem>(
+                              net, std::move(broadcast_set), credit),
+                          std::move(adversary),
+                          ExecutionConfig{seed, max_rounds, {}})
+      .run();
 }
 
 /// Median rounds over `trials` seeds; failed runs are counted as max_rounds
