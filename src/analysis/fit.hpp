@@ -6,9 +6,9 @@
 // size parameter, measure median rounds, and ask which candidate growth
 // shape c·g(x) explains the series best. For each model we fit the scale c
 // minimizing squared *relative* error (so small-x and large-x points weigh
-// equally across decades) and rank models by that error. EXPERIMENTS.md
-// reports the winning shape next to the paper's claim for every Figure 1
-// cell.
+// equally across decades) and rank models by that error. The scenario
+// report prints the winning shape for every column a scenario lists in its
+// `fit` field, below the table that the paper's claim heads.
 
 #include <functional>
 #include <string>

@@ -8,8 +8,9 @@ namespace dualcast {
 int schedule_chunk_width(int ladder) {
   DC_EXPECTS(ladder >= 1);
   // Enough bits to cover [0, ladder); mod below fixes non-powers of two
-  // (slight non-uniformity is irrelevant to the adversary-independence
-  // argument and is noted in EXPERIMENTS.md).
+  // (the slight non-uniformity is irrelevant to the adversary-independence
+  // argument: the index depends on the shared bits only, never on the
+  // adversary's choices).
   return clog2(static_cast<std::uint64_t>(ladder) + 1);
 }
 

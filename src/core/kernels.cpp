@@ -354,14 +354,26 @@ struct DecayGlobalState {
       return;
     }
     sync(round);
+    // The fixed schedule gives every active holder the same index: compute
+    // it once per round, as the local-decay kernel does.
+    const bool fixed = config.schedule == ScheduleKind::fixed;
+    const int shared_index = fixed ? fixed_decay_index(round, ladder) : 0;
     for (int b = 0; b < active_bits.blocks(); ++b) {
       const std::uint64_t word = active_bits.word(b);
       if (word == 0) continue;
       const int base = b * 64;
       if (word_coins) {
+        Pow2MaskLadder coins(block_rngs[static_cast<std::size_t>(b)]);
+        if (fixed) {
+          // One shared index: one mask decides the block.
+          for_each_bit(word & coins.mask(shared_index), base,
+                       [&](int v, std::uint64_t) {
+                         emit(v, message[static_cast<std::size_t>(v)]);
+                       });
+          continue;
+        }
         // Same lane-gather shape as the decay kernel's divergent path:
         // indices first, one deepening, one word-parallel select.
-        Pow2MaskLadder coins(block_rngs[static_cast<std::size_t>(b)]);
         std::uint8_t lane_index[64] = {};
         int max_index = 0;
         for_each_bit(word, base, [&](int v, std::uint64_t) {
@@ -378,7 +390,7 @@ struct DecayGlobalState {
         continue;
       }
       for_each_bit(word, base, [&](int v, std::uint64_t) {
-        const int index = schedule_index(v, round);
+        const int index = fixed ? shared_index : schedule_index(v, round);
         if (rngs[static_cast<std::size_t>(v)].coin_pow2(index)) {
           emit(v, message[static_cast<std::size_t>(v)]);
         }

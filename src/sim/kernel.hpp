@@ -106,7 +106,11 @@ class AlgorithmKernel {
   virtual void on_feedback_batch(const FeedbackView& feedback,
                                  std::span<Rng> rngs) = 0;
 
-  /// Mirror of Process::has_message for node v.
+  /// Mirror of Process::has_message for node v. Must be monotone within an
+  /// execution: once true for v, it stays true in every later round.
+  /// GlobalBroadcastProblem's watermark solved check relies on it
+  /// (tests/test_sim_kernel_engine.cpp pins it for every built-in kernel
+  /// and the scalar adapter).
   virtual bool has_message(int v) const = 0;
 
   /// Mirror of InspectableProcess::transmit_probability for node v: the

@@ -1,7 +1,5 @@
 #include "sim/problem.hpp"
 
-#include <algorithm>
-
 #include "sim/process.hpp"
 #include "util/assert.hpp"
 #include "util/strfmt.hpp"
@@ -47,15 +45,20 @@ Message GlobalBroadcastProblem::initial_message(int v) const {
 
 bool GlobalBroadcastProblem::solved(
     const std::vector<std::unique_ptr<Process>>& procs) const {
-  return std::all_of(procs.begin(), procs.end(),
-                     [](const auto& p) { return p->has_message(); });
+  const int n = static_cast<int>(procs.size());
+  while (first_uninformed_ < n &&
+         procs[static_cast<std::size_t>(first_uninformed_)]->has_message()) {
+    ++first_uninformed_;
+  }
+  return first_uninformed_ == n;
 }
 
 bool GlobalBroadcastProblem::solved_batch(const NodeStateView& nodes) const {
-  for (int v = 0; v < nodes.n(); ++v) {
-    if (!nodes.has_message(v)) return false;
+  const int n = nodes.n();
+  while (first_uninformed_ < n && nodes.has_message(first_uninformed_)) {
+    ++first_uninformed_;
   }
-  return true;
+  return first_uninformed_ == n;
 }
 
 // ---------------------------------------------------------------------------

@@ -30,6 +30,12 @@ class Process;
 /// Read-only per-node algorithm state, as exposed by the batch engine's
 /// kernel (mirrors the scalar adapter's Process vector for the queries
 /// problems actually make).
+///
+/// Contract: within one execution, has_message(v) is monotone — once true
+/// for a node it stays true for every later round (no algorithm forgets a
+/// message it holds; AlgorithmKernel::has_message carries the same
+/// contract). Problems may rely on it to resume a scan where the previous
+/// round's left off.
 class NodeStateView {
  public:
   virtual ~NodeStateView() = default;
@@ -83,6 +89,14 @@ class Problem {
 };
 
 /// Global broadcast from a designated source.
+///
+/// The solved check keeps a watermark: the lowest node not yet seen holding
+/// the message. Each round resumes the scan there, so a whole execution
+/// costs at most n + rounds has_message calls instead of up to n per
+/// round. This is sound because has_message is monotone within an
+/// execution (see NodeStateView) and a problem object serves exactly one
+/// execution — the scenario layer builds a fresh one per trial, as the
+/// counters of LocalBroadcastProblem and GossipProblem already require.
 class GlobalBroadcastProblem final : public Problem {
  public:
   /// `source` must be a valid node of `net`; `net.g()` must be connected.
@@ -99,6 +113,9 @@ class GlobalBroadcastProblem final : public Problem {
 
  private:
   int source_ = -1;
+  /// Every node below this one has been seen holding the message.
+  /// `mutable`: the solved checks are const observers that advance it.
+  mutable int first_uninformed_ = 0;
 };
 
 /// A problem that only *assigns roles* (source / broadcast set) and never

@@ -72,7 +72,8 @@ class Process {
   virtual void on_feedback(int round, const RoundFeedback& feedback, Rng& rng);
 
   /// For broadcast problems: does this node currently hold the broadcast
-  /// message? (Used by the global-broadcast completion check.)
+  /// message? (Used by the global-broadcast completion check, which relies
+  /// on it being monotone: once true, it stays true for the execution.)
   virtual bool has_message() const { return false; }
 
   const ProcessEnv& env() const { return env_; }

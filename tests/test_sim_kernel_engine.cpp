@@ -3,7 +3,9 @@
 // messages, deliveries, solve round — across topologies, adversary classes
 // (including adaptive ones, which also exercises the kernel-backed
 // StateInspector), and problems. Plus the scalar-adapter path for custom
-// algorithms and the batch-compatibility contract for problems.
+// algorithms, the batch-compatibility contract for problems, and the
+// has_message monotonicity contract the global-broadcast solved check
+// relies on.
 
 #include <gtest/gtest.h>
 
@@ -173,6 +175,93 @@ TEST(KernelEngineEquivalence, MultipleSeedsSpotCheck) {
                           "global(1)", 800},
                          seed);
   }
+}
+
+/// The problem a kernel is exercised under: one whose roles give its nodes
+/// messages to acquire. Keyed by the kernels() entry name; a kernel missing
+/// here fails the monotonicity test below rather than going unchecked.
+std::string problem_for(const std::string& algorithm, bool dual_clique) {
+  const std::string name = scenario::parse_call(algorithm).name;
+  if (name == "decay_global" || name == "round_robin" ||
+      name == "robust_mix") {
+    return dual_clique ? "global(1)" : "global(0)";
+  }
+  if (name == "decay_local" || name == "geo_local") {
+    return dual_clique ? "local(side_a)" : "local(every(3))";
+  }
+  if (name == "gossip") return "gossip(3)";
+  return "";
+}
+
+/// Steps `exec` to the end and fails if any node's has_message goes from
+/// true to false. Returns how many nodes went from false to true.
+int expect_has_message_monotone(KernelExecution& exec) {
+  const AlgorithmKernel& kernel = exec.kernel();
+  const int n = exec.net().n();
+  std::vector<char> had(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    had[static_cast<std::size_t>(v)] = kernel.has_message(v);
+  }
+  int gained = 0;
+  while (!exec.done()) {
+    exec.step();
+    for (int v = 0; v < n; ++v) {
+      const bool has = kernel.has_message(v);
+      char& before = had[static_cast<std::size_t>(v)];
+      if (before && !has) {
+        ADD_FAILURE() << "node " << v << " lost its message in round "
+                      << exec.round() - 1;
+        return gained;
+      }
+      gained += !before && has;
+      before = has;
+    }
+  }
+  return gained;
+}
+
+TEST(KernelEngineContract, HasMessageIsMonotone) {
+  // GlobalBroadcastProblem's watermark solved check assumes a node never
+  // loses the message; pin that for every registered kernel and for the
+  // scalar adapter around the same algorithm.
+  std::vector<std::string> algorithms;
+  for (const auto* entry : scenario::kernels().entries()) {
+    algorithms.push_back(entry->name);
+  }
+  for (const char* variant :
+       {"decay_global(fixed,persistent)", "decay_global(permuted,persistent)",
+        "decay_local(permuted)", "round_robin(norelay)", "gossip(quiesce)"}) {
+    algorithms.emplace_back(variant);
+  }
+  int gained = 0;
+  for (const char* topology : {"dual_clique(32)", "jgrid(6,6,0.5,0.05,2.0)"}) {
+    const bool dual_clique = std::string(topology).starts_with("dual_clique");
+    const Topology topo = scenario::topologies().build(topology, 5);
+    for (const std::string& algorithm : algorithms) {
+      const std::string problem = problem_for(algorithm, dual_clique);
+      ASSERT_FALSE(problem.empty())
+          << "no problem chosen for kernel " << algorithm;
+      const ProcessFactory factory = scenario::algorithms().build(algorithm);
+      const KernelFactory kernel = scenario::kernels().build(algorithm);
+      for (const char* adversary : {"iid(0.4)", "dense_sparse", "collider"}) {
+        SCOPED_TRACE(std::string(topology) + " | " + algorithm + " | " +
+                     adversary);
+        const auto config =
+            ExecutionConfig{}.with_seed(17).with_max_rounds(300);
+        KernelExecution native(
+            topo.net(), factory, kernel(),
+            scenario::problems().build(problem, topo)(),
+            scenario::adversaries().build(adversary, topo)(), config);
+        gained += expect_has_message_monotone(native);
+        KernelExecution adapted(
+            topo.net(), factory, make_scalar_kernel_adapter(factory),
+            scenario::problems().build(problem, topo)(),
+            scenario::adversaries().build(adversary, topo)(), config);
+        gained += expect_has_message_monotone(adapted);
+      }
+    }
+  }
+  EXPECT_GT(gained, 0) << "no node ever acquired a message: vacuous run";
 }
 
 TEST(KernelEngineAdapter, CustomProcessRunsIdentically) {

@@ -4,17 +4,128 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 
 #include "adversary/static_adversaries.hpp"
 #include "graph/generators.hpp"
 #include "test_support.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace dualcast {
 namespace {
 
 using testing::scalar_execution;
 using testing::scripted_factory;
+
+/// Message flags set by the test, with every has_message read counted.
+class CountingNodes {
+ public:
+  explicit CountingNodes(int n) : has_(static_cast<std::size_t>(n), 0) {}
+
+  int n() const { return static_cast<int>(has_.size()); }
+  bool has_message(int v) const {
+    ++calls_;
+    return has_[static_cast<std::size_t>(v)] != 0;
+  }
+  void inform(int v) { has_[static_cast<std::size_t>(v)] = 1; }
+  bool all_informed() const {
+    return std::all_of(has_.begin(), has_.end(),
+                       [](char h) { return h != 0; });
+  }
+  std::int64_t calls() const { return calls_; }
+
+ private:
+  std::vector<char> has_;
+  mutable std::int64_t calls_ = 0;
+};
+
+/// The batch engine's view of the flags.
+class CountingView final : public NodeStateView {
+ public:
+  explicit CountingView(const CountingNodes& nodes) : nodes_(&nodes) {}
+  int n() const override { return nodes_->n(); }
+  bool has_message(int v) const override { return nodes_->has_message(v); }
+
+ private:
+  const CountingNodes* nodes_;
+};
+
+/// The scalar adapter's view: one Process per node reading its flag.
+class FlagProcess final : public Process {
+ public:
+  FlagProcess(const CountingNodes& nodes, int v) : nodes_(&nodes), v_(v) {}
+  Action on_round(int /*round*/, Rng& /*rng*/) override {
+    return Action::listen();
+  }
+  bool has_message() const override { return nodes_->has_message(v_); }
+
+ private:
+  const CountingNodes* nodes_;
+  int v_;
+};
+
+/// Informs the nodes of `order` a few at a time (zero to three per step)
+/// and checks, after every step, that both solved checks agree with a full
+/// scan and that the has_message reads stay within n + steps per path.
+void expect_watermark_matches_scan(const std::vector<int>& order,
+                                   std::uint64_t seed) {
+  const int n = static_cast<int>(order.size());
+  const DualGraph net = DualGraph::protocol(line_graph(n));
+  const GlobalBroadcastProblem batch_problem(net, order.front());
+  const GlobalBroadcastProblem scalar_problem(net, order.front());
+  CountingNodes batch_nodes(n);
+  CountingNodes scalar_nodes(n);
+  const CountingView view(batch_nodes);
+  std::vector<std::unique_ptr<Process>> procs;
+  for (int v = 0; v < n; ++v) {
+    procs.push_back(std::make_unique<FlagProcess>(scalar_nodes, v));
+  }
+
+  Rng rng(seed);
+  std::size_t next = 0;
+  std::int64_t steps = 0;
+  while (true) {
+    const bool want = batch_nodes.all_informed();
+    ++steps;
+    ASSERT_EQ(batch_problem.solved_batch(view), want) << "step " << steps;
+    ASSERT_EQ(scalar_problem.solved(procs), want) << "step " << steps;
+    if (want) break;
+    const std::size_t burst = static_cast<std::size_t>(rng.bits(2));
+    for (std::size_t i = 0; i < burst && next < order.size(); ++i, ++next) {
+      batch_nodes.inform(order[next]);
+      scalar_nodes.inform(order[next]);
+    }
+  }
+  // The scan itself is monotone too: solved stays solved.
+  EXPECT_TRUE(batch_problem.solved_batch(view));
+  EXPECT_TRUE(scalar_problem.solved(procs));
+  ++steps;
+  EXPECT_LE(batch_nodes.calls(), n + steps);
+  EXPECT_LE(scalar_nodes.calls(), n + steps);
+  EXPECT_EQ(batch_nodes.calls(), scalar_nodes.calls());
+}
+
+TEST(GlobalProblem, WatermarkSolvedCheckMatchesFullScan) {
+  const int n = 97;
+  std::vector<int> ascending(static_cast<std::size_t>(n));
+  std::iota(ascending.begin(), ascending.end(), 0);
+  expect_watermark_matches_scan(ascending, 1);
+  // Node 0 last: the watermark cannot move until the final step.
+  std::vector<int> descending(ascending.rbegin(), ascending.rend());
+  expect_watermark_matches_scan(descending, 2);
+  for (std::uint64_t seed = 3; seed < 13; ++seed) {
+    std::vector<int> shuffled = ascending;
+    Rng rng(seed * 7919);
+    for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+      const auto j = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(i)));
+      std::swap(shuffled[i], shuffled[j]);
+    }
+    expect_watermark_matches_scan(shuffled, seed);
+  }
+}
 
 TEST(GlobalProblem, AssignsSourceRole) {
   const DualGraph net = DualGraph::protocol(line_graph(4));
