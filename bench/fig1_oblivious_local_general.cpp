@@ -4,11 +4,13 @@
 // Runs the declarative scenario, then derives the "window held" statistic —
 // the fraction of trials where the clasp receiver stayed silent for >= 80%
 // of the k-round prediction window — from the raw per-trial values the
-// runner already carries.
+// runner already carries. Takes the run options (--smoke --trials
+// --engine --rng --history).
 
 #include <iostream>
 
 #include "analysis/table.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/scenario.hpp"
 
 int main(int argc, char** argv) {
@@ -17,12 +19,20 @@ int main(int argc, char** argv) {
 
   RunOptions options;
   options.out = &std::cout;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") options.smoke = true;
+  const util::FlagTable flags = run_option_flags(options);
+  ScenarioResult result;
+  try {
+    if (!util::parse_flags(flags, {argv + 1, argv + argc}, nullptr)) {
+      std::cout << "usage: " << argv[0] << " [options]\n\noptions:\n";
+      util::print_flags(std::cout, flags);
+      return 0;
+    }
+    result = run_scenario(scenarios().get("fig1/oblivious-local-general"),
+                          options);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
   }
-
-  const ScenarioResult result =
-      run_scenario(scenarios().get("fig1/oblivious-local-general"), options);
 
   Table held({"n", "k=sqrt(n/2)", "window held (fixed:attack)"});
   for (const PointResult& point : result.points) {

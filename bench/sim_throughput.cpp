@@ -34,8 +34,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -45,6 +43,7 @@
 #include "scenario/registries.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/kernel_execution.hpp"
+#include "util/flags.hpp"
 #include "util/strfmt.hpp"
 
 namespace dualcast {
@@ -212,36 +211,28 @@ int run_main(int argc, char** argv) {
   std::string filter;
   double min_seconds = 0.3;
   bool include_heavy = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " requires a value\n";
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (arg == "--out") {
-      out_path = value();
-    } else if (arg == "--scale") {
-      include_heavy = true;
-    } else if (arg == "--min-time") {
-      const char* text = value();
-      char* end = nullptr;
-      min_seconds = std::strtod(text, &end);
-      if (end == text || *end != '\0' || !(min_seconds > 0.0)) {
-        std::cerr << "error: --min-time: expected a positive number, got \""
-                  << text << "\"\n";
-        return 1;
-      }
-    } else if (arg == "--filter") {
-      filter = value();
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--out FILE] [--min-time SECONDS] [--filter SUBSTR]"
-                   " [--scale]\n";
-      return arg == "--help" || arg == "-h" ? 0 : 1;
+  const util::FlagTable flags = {
+      util::string_flag("--out", "FILE",
+                        "write the JSON rows to FILE (default "
+                        "BENCH_sim_throughput.json)",
+                        out_path),
+      util::positive_double_flag("--min-time", "SECONDS",
+                                 "minimum timed seconds per row (default 0.3)",
+                                 min_seconds),
+      util::string_flag("--filter", "SUBSTR",
+                        "run only the cases whose name contains SUBSTR",
+                        filter),
+      util::switch_flag("--scale", "also run the n = 16384 / 65536 grids",
+                        include_heavy)};
+  try {
+    if (!util::parse_flags(flags, {argv + 1, argv + argc}, nullptr)) {
+      std::cout << "usage: " << argv[0] << " [options]\n\noptions:\n";
+      util::print_flags(std::cout, flags);
+      return 0;
     }
+  } catch (const util::FlagError& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
   }
 
   std::vector<std::string> rows;

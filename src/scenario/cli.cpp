@@ -1,61 +1,25 @@
 #include "scenario/cli.hpp"
 
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <set>
 
 #include "service/service_cli.hpp"
-#include "util/strfmt.hpp"
 
 namespace dualcast::scenario {
 namespace {
 
-void print_usage(std::ostream& os, const char* binary) {
-  os << "usage: " << binary
-     << " [scenario-name-or-prefix ...] [options]\n"
-        "       " << binary
-     << " serve|worker|merge|status [subcommand options]\n"
-        "\n"
-        "options:\n"
-        "  --list        list registered scenarios (grouped by catalog\n"
-        "                tier, with sweep sizes) and exit\n"
-        "  --all         run every registered scenario\n"
-        "  --smoke       tiny-scale run of the selection (default: all):\n"
-        "                one small sweep point, 1 trial, capped rounds\n"
-        "  --json FILE   also write machine-readable result rows to FILE\n"
-        "  --threads N   thread-pool width over trials (default 1;\n"
-        "                results are identical for every N)\n"
-        "  --sweep-threads N\n"
-        "                sweep-point-level scheduler: flatten every\n"
-        "                (sweep point x column x trial) into one work queue\n"
-        "                over N workers (default 1; results are identical\n"
-        "                for every N)\n"
-        "  --history P   history retention per trial: \"lean\" (default;\n"
-        "                O(n) aggregates, auto-falls back to full for\n"
-        "                adversaries that read the trace) or \"full\"\n"
-        "  --engine E    node driver: \"kernel\" (default; batch SoA\n"
-        "                kernels, scalar-adapter fallback for algorithms\n"
-        "                without a port) or \"scalar\" (the scalar adapter\n"
-        "                for every algorithm). Results are byte-identical\n"
-        "                for both\n"
-        "  --rng M       kernel-path coin streams: \"per-node\" (default;\n"
-        "                byte-identical to the scalar adapter) or \"word\"\n"
-        "                (word-parallel block streams, 64 coins per draw\n"
-        "                ladder; same distribution, different sample paths;\n"
-        "                requires --engine kernel)\n"
-        "  --trials N    override each scenario's trial count\n"
-        "\n"
-        "experiment-service subcommands (see `" << binary
-     << " serve --help`):\n"
-        "  serve         cached/sharded run of a selection (persistent job\n"
-        "                store + result cache; byte-identical artifacts)\n"
-        "  worker        lease and measure shards of an existing job\n"
-        "  merge         reassemble a complete job into result rows\n"
-        "  status        report a job's shards, leases, and progress\n";
+void print_usage(std::ostream& os, const char* binary,
+                 const util::FlagTable& flags) {
+  os << "usage: " << binary << " [scenario-name-or-prefix ...] [options]\n"
+     << "       " << binary << " <subcommand> [subcommand options]\n"
+     << "\noptions:\n";
+  util::print_flags(os, flags);
+  os << "\nexperiment-service subcommands (see `" << binary
+     << " <subcommand> --help`):\n";
+  for (const service::Subcommand& command : service::subcommands()) {
+    os << "  " << command.name << " " << command.synopsis << "\n";
+  }
 }
 
 void print_list(std::ostream& os) {
@@ -94,89 +58,52 @@ void print_list(std::ostream& os) {
 
 }  // namespace
 
-int parse_int_flag(const std::string& flag, const char* value) {
-  if (value == nullptr) {
-    throw ScenarioError(str(flag, " requires a value"));
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed < 1 ||
-      parsed > std::numeric_limits<int>::max()) {
-    throw ScenarioError(str(flag, ": bad value \"", value, "\""));
-  }
-  return static_cast<int>(parsed);
+util::FlagTable run_option_flags(RunOptions& options) {
+  return {
+      util::switch_flag("--smoke",
+                        "tiny-scale run of the selection (default: all): one "
+                        "small sweep point, 1 trial, capped rounds",
+                        options.smoke),
+      util::int_flag("--trials", "N", "override each scenario's trial count",
+                     options.trials_override, 1),
+      util::choice_flag(
+          "--engine", "E",
+          "node driver: \"kernel\" (default; batch SoA kernels, "
+          "scalar-adapter fallback for algorithms without a port) or "
+          "\"scalar\" (the scalar adapter for every algorithm). Results are "
+          "byte-identical for both",
+          options.engine,
+          {{"kernel", EnginePath::kernel}, {"scalar", EnginePath::scalar}}),
+      util::choice_flag(
+          "--rng", "M",
+          "kernel-path coin streams: \"per-node\" (default; byte-identical "
+          "to the scalar adapter) or \"word\" (word-parallel block streams, "
+          "64 coins per draw ladder; same distribution, different sample "
+          "paths; requires --engine kernel)",
+          options.rng,
+          {{"per-node", RngMode::per_node}, {"word", RngMode::word}}),
+      util::choice_flag(
+          "--history", "P",
+          "history retention per trial: \"lean\" (default; O(n) "
+          "aggregates, auto-falls back to full for adversaries that read the "
+          "trace) or \"full\"",
+          options.history,
+          {{"full", HistoryPolicy::full}, {"lean", HistoryPolicy::lean}}),
+  };
 }
 
-bool consume_run_option_flag(int argc, char** argv, int& i,
-                             RunOptions& options) {
-  const std::string arg = argv[i];
-  if (arg == "--smoke") {
-    options.smoke = true;
-  } else if (arg == "--threads") {
-    options.threads =
-        parse_int_flag("--threads", ++i < argc ? argv[i] : nullptr);
-  } else if (arg == "--sweep-threads") {
-    options.sweep_threads =
-        parse_int_flag("--sweep-threads", ++i < argc ? argv[i] : nullptr);
-  } else if (arg == "--history" || arg.rfind("--history=", 0) == 0) {
-    std::string value;
-    if (arg == "--history") {
-      if (++i >= argc) throw ScenarioError("--history requires a value");
-      value = argv[i];
-    } else {
-      value = arg.substr(std::string("--history=").size());
-    }
-    if (value == "full") {
-      options.history = HistoryPolicy::full;
-    } else if (value == "lean") {
-      options.history = HistoryPolicy::lean;
-    } else {
-      throw ScenarioError(
-          str("--history: expected \"full\" or \"lean\", got \"", value,
-              "\""));
-    }
-  } else if (arg == "--engine" || arg.rfind("--engine=", 0) == 0) {
-    std::string value;
-    if (arg == "--engine") {
-      if (++i >= argc) throw ScenarioError("--engine requires a value");
-      value = argv[i];
-    } else {
-      value = arg.substr(std::string("--engine=").size());
-    }
-    if (value == "kernel") {
-      options.engine = EnginePath::kernel;
-    } else if (value == "scalar") {
-      options.engine = EnginePath::scalar;
-    } else {
-      throw ScenarioError(
-          str("--engine: expected \"kernel\" or \"scalar\", got \"", value,
-              "\""));
-    }
-  } else if (arg == "--rng" || arg.rfind("--rng=", 0) == 0) {
-    std::string value;
-    if (arg == "--rng") {
-      if (++i >= argc) throw ScenarioError("--rng requires a value");
-      value = argv[i];
-    } else {
-      value = arg.substr(std::string("--rng=").size());
-    }
-    if (value == "per-node") {
-      options.rng = RngMode::per_node;
-    } else if (value == "word") {
-      options.rng = RngMode::word;
-    } else {
-      throw ScenarioError(
-          str("--rng: expected \"per-node\" or \"word\", got \"", value,
-              "\""));
-    }
-  } else if (arg == "--trials") {
-    options.trials_override =
-        parse_int_flag("--trials", ++i < argc ? argv[i] : nullptr);
-  } else {
-    return false;
-  }
-  return true;
+util::FlagTable scheduler_flags(RunOptions& options) {
+  return {
+      util::int_flag("--threads", "N",
+                     "thread-pool width over trials (default 1; results are "
+                     "identical for every N)",
+                     options.threads, 1),
+      util::int_flag("--sweep-threads", "N",
+                     "sweep-point-level scheduler: flatten every (sweep point "
+                     "x column x trial) into one work queue over N workers "
+                     "(default 1; results are identical for every N)",
+                     options.sweep_threads, 1),
+  };
 }
 
 std::vector<const ScenarioSpec*> resolve_selection(
@@ -198,7 +125,7 @@ std::vector<const ScenarioSpec*> resolve_selection(
 
 int run_main(int argc, char** argv,
              const std::vector<std::string>& default_names) {
-  if (argc >= 2 && service::is_service_command(argv[1])) {
+  if (argc >= 2 && service::find_subcommand(argv[1]) != nullptr) {
     return service::service_main(argc, argv);
   }
 
@@ -208,27 +135,21 @@ int run_main(int argc, char** argv,
   options.out = &std::cout;
   bool list_only = false;
   bool run_all = false;
+  const util::FlagTable flags = util::concat(
+      {run_option_flags(options), scheduler_flags(options),
+       {util::switch_flag("--list",
+                          "list registered scenarios (grouped by catalog "
+                          "tier, with sweep sizes) and exit",
+                          list_only),
+        util::switch_flag("--all", "run every registered scenario", run_all),
+        util::string_flag("--json", "FILE",
+                          "also write machine-readable result rows to FILE",
+                          json_path)}});
 
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (consume_run_option_flag(argc, argv, i, options)) {
-        continue;
-      } else if (arg == "--list") {
-        list_only = true;
-      } else if (arg == "--all") {
-        run_all = true;
-      } else if (arg == "--json") {
-        if (++i >= argc) throw ScenarioError("--json requires a file path");
-        json_path = argv[i];
-      } else if (arg == "--help" || arg == "-h") {
-        print_usage(std::cout, argv[0]);
-        return 0;
-      } else if (!arg.empty() && arg[0] == '-') {
-        throw ScenarioError(str("unknown option \"", arg, "\""));
-      } else {
-        names.push_back(arg);
-      }
+    if (!util::parse_flags(flags, {argv + 1, argv + argc}, &names)) {
+      print_usage(std::cout, argv[0], flags);
+      return 0;
     }
 
     if (list_only) {
@@ -247,7 +168,7 @@ int run_main(int argc, char** argv,
       selection = resolve_selection(default_names);
     }
     if (selection.empty()) {
-      print_usage(std::cerr, argv[0]);
+      print_usage(std::cerr, argv[0], flags);
       std::cerr << "\n";
       print_list(std::cerr);
       return 1;
@@ -271,9 +192,9 @@ int run_main(int argc, char** argv,
                 << json_path << "\n";
     }
   } catch (const std::exception& error) {
-    // ScenarioError for spec/flag problems, but also engine contract
-    // violations and allocation failures: every failure gets a diagnostic
-    // instead of a raw terminate.
+    // FlagError and ScenarioError for flag and spec problems, but also
+    // engine contract violations and allocation failures: every failure
+    // gets a diagnostic instead of a raw terminate.
     std::cerr << "error: " << error.what() << "\n";
     return 1;
   }

@@ -1,46 +1,37 @@
 #pragma once
 
-// Shared command-line driver for every bench binary.
+// The command-line driver behind `dualcast_bench` and the examples.
 //
 //   <bench> [names...] [--list] [--all] [--smoke] [--json FILE]
 //           [--threads N] [--trials N] [--engine E] [--rng M] ...
+//   <bench> <subcommand> [subcommand options]
 //
 // Positional names select scenarios by exact name or prefix
 // ("fig1/oblivious-global" runs both the clique and line sweeps). With no
-// names, `default_names` runs — the thin per-bench mains pass their
-// scenarios there; the generic `dualcast_bench` driver passes none and
-// requires an explicit selection (or --all / --smoke / --list).
-//
-// Experiment-service subcommands are dispatched from here too:
-//
-//   <bench> serve  <names...> [--job-dir D] [--cache-dir C] [--workers N]
-//   <bench> worker --job-dir D
-//   <bench> merge  --job-dir D [--json FILE]
-//   <bench> status --job-dir D
-//
-// (See src/service/ and the README's "Experiment service" section.)
+// names, `default_names` runs — the examples pass their scenarios there;
+// `dualcast_bench` passes none and requires an explicit selection (or
+// --all / --smoke / --list). An argv[1] naming an experiment-service
+// subcommand (see service/service_cli.hpp) is dispatched there.
 
 #include <string>
 #include <vector>
 
 #include "scenario/scenario.hpp"
+#include "util/flags.hpp"
 
 namespace dualcast::scenario {
 
 int run_main(int argc, char** argv,
              const std::vector<std::string>& default_names);
 
-/// Parses a strictly positive int flag value; throws ScenarioError with
-/// the flag's name on bad/missing input.
-int parse_int_flag(const std::string& flag, const char* value);
+/// The run options every run path accepts — --smoke --trials --engine
+/// --rng --history — bound to `options`. Shared by the plain driver and
+/// `serve`, so both accept exactly the same spellings and ranges.
+util::FlagTable run_option_flags(RunOptions& options);
 
-/// Consumes one shared execution flag (--smoke, --threads, --sweep-threads,
-/// --history, --engine, --rng, --trials; = and space forms) at argv[i],
-/// advancing i past any value it takes. Returns false when argv[i] is not
-/// one of these flags. Shared by the classic driver and the service CLI so
-/// `serve` accepts exactly the run options a plain invocation does.
-bool consume_run_option_flag(int argc, char** argv, int& i,
-                             RunOptions& options);
+/// The plain driver's scheduler widths, --threads and --sweep-threads,
+/// bound to `options`.
+util::FlagTable scheduler_flags(RunOptions& options);
 
 /// Resolves names (exact or prefix) against the catalog into a deduped
 /// selection in first-mention order; throws ScenarioError (listing known

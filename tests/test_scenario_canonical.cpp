@@ -123,6 +123,14 @@ TEST(SpecHash, Fnv1a64MatchesKnownVectorsAndChains) {
   EXPECT_NE(fnv1a64("ab"), fnv1a64("ba"));
 }
 
+TEST(CatalogHash, PinnedForTheBuiltInCatalog) {
+  // Every job.meta and cache key embeds this hash, so a change that only
+  // edits presentation (titles, notes such as fig1/summary-static-local's
+  // reading guide) must leave it where it is. Declared before the test
+  // below, which registers an extra scenario.
+  EXPECT_EQ(hash_hex(catalog_hash()), "cc306489e763c654");
+}
+
 TEST(CatalogHash, StableWithinAProcessAndSensitiveToRegistration) {
   const std::uint64_t before = catalog_hash();
   EXPECT_EQ(before, catalog_hash());
